@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "android/proc_net.h"
 #include "android/tun_device.h"
 #include "baselines/presets.h"
 #include "concurrent/packet_queue.h"
@@ -23,6 +24,8 @@
 #include "netpkt/packet_buf.h"
 #include "netpkt/tcp.h"
 #include "netpkt/tcp_template.h"
+#include "sim/actor.h"
+#include "sim/event_loop.h"
 #include "telemetry/metrics.h"
 #include "tests/test_world.h"
 #include "util/rng.h"
@@ -574,6 +577,47 @@ void BM_SpscRingPushPop(benchmark::State& state) {
   consumer.join();
 }
 BENCHMARK(BM_SpscRingPushPop);
+
+// One lazy-mapping parse on the host clock: render /proc/net/tcp from a
+// kernel table of N rows and parse it back (the churn peak is ~365 rows, the
+// bulk peak ~680).
+void BM_ProcRenderParse(benchmark::State& state) {
+  mopnet::KernelConnTable table;
+  moputil::Rng rng(0x9d0c);
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    mopnet::ConnEntry e;
+    e.proto = moppkt::IpProto::kTcp;
+    e.local = {moppkt::IpAddr(10, 0, 0, 2), static_cast<uint16_t>(32768 + i)};
+    e.remote = {moppkt::IpAddr(rng.NextU32()), 443};
+    e.state = mopnet::ConnState::kEstablished;
+    e.uid = static_cast<int>(rng.UniformInt(10000, 10100));
+    table.Register(e);
+  }
+  mopdroid::ProcNet proc(&table);
+  for (auto _ : state) {
+    auto rows = mopdroid::ParseProcNet(proc.Render(moppkt::IpProto::kTcp));
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_ProcRenderParse)->Arg(40)->Arg(365)->Arg(680);
+
+// One simulated-thread task end to end: ActorLane::Submit schedules it and
+// the loop pops and runs it, with 256 other events pending in the heap.
+void BM_EventLoopScheduleRun(benchmark::State& state) {
+  mopsim::EventLoop loop;
+  mopsim::ActorLane lane(&loop, "main-worker");
+  for (int i = 0; i < 256; ++i) {
+    loop.Schedule(moputil::Seconds(3600), [] {});
+  }
+  int64_t ran = 0;
+  for (auto _ : state) {
+    lane.Submit(0, moputil::Micros(1), [&ran] { ++ran; });
+    loop.RunFor(moputil::Micros(1));
+  }
+  benchmark::DoNotOptimize(ran);
+}
+BENCHMARK(BM_EventLoopScheduleRun);
 
 }  // namespace
 

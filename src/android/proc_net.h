@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/conn_table.h"
@@ -63,7 +64,7 @@ class ProcNet {
 
 // Parses pseudo-file text back into entries. This is the engine-side parser;
 // it must round-trip with ProcNet::Render (tested property-style).
-moputil::Result<std::vector<ProcNetEntry>> ParseProcNet(const std::string& text);
+moputil::Result<std::vector<ProcNetEntry>> ParseProcNet(std::string_view text);
 
 }  // namespace mopdroid
 

@@ -189,7 +189,7 @@ void AppTcpConnection::HandleEstablished(const moppkt::ParsedPacket& pkt) {
   if (seg.flags.ack && moppkt::SeqGt(seg.ack, snd_una_)) {
     uint32_t acked = seg.ack - snd_una_;
     uint32_t data_acked = std::min<uint32_t>(acked, static_cast<uint32_t>(unacked_.size()));
-    unacked_.erase(unacked_.begin(), unacked_.begin() + data_acked);
+    unacked_.Consume(data_acked);
     snd_una_ = seg.ack;
     cwnd_ += kAppMss;  // slow-start growth; the tunnel never drops
     advanced = true;
@@ -293,11 +293,26 @@ void AppTcpConnection::DrainReassembly() {
   }
 }
 
+void AppTcpConnection::ByteFifo::Append(std::span<const uint8_t> data) {
+  bytes_.insert(bytes_.end(), data.begin(), data.end());
+}
+
+void AppTcpConnection::ByteFifo::Consume(size_t n) {
+  head_ += n;
+  if (head_ == bytes_.size()) {
+    bytes_ = {};  // drained: release the buffer
+    head_ = 0;
+  } else if (head_ * 2 >= bytes_.size()) {
+    bytes_.erase(bytes_.begin(), bytes_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
 void AppTcpConnection::Send(std::vector<uint8_t> data) {
   MOP_CHECK(state_ == AppTcpState::kSynSent || state_ == AppTcpState::kEstablished ||
             state_ == AppTcpState::kCloseWait)
       << "send in " << AppTcpStateName(state_);
-  send_queue_.insert(send_queue_.end(), data.begin(), data.end());
+  send_queue_.Append(data);
   if (state_ != AppTcpState::kSynSent) {
     TrySendData();
   }
@@ -323,7 +338,7 @@ void AppTcpConnection::TrySendData() {
     }
     std::vector<uint8_t> payload(send_queue_.begin(),
                                  send_queue_.begin() + static_cast<long>(n));
-    send_queue_.erase(send_queue_.begin(), send_queue_.begin() + static_cast<long>(n));
+    send_queue_.Consume(n);
 
     moppkt::TcpSegmentSpec spec;
     spec.src_port = local_.port;
@@ -337,7 +352,7 @@ void AppTcpConnection::TrySendData() {
 
     snd_nxt_ += static_cast<uint32_t>(n);
     bytes_sent_ += n;
-    unacked_.insert(unacked_.end(), payload.begin(), payload.end());
+    unacked_.Append(payload);
     if (rto_timer_ == mopsim::kInvalidTimer) {
       ArmRetransmit(kDataRto);
     }

@@ -10,7 +10,6 @@
 #ifndef MOPEYE_APPS_TCP_CLIENT_H_
 #define MOPEYE_APPS_TCP_CLIENT_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -120,8 +119,27 @@ class AppTcpConnection : public std::enable_shared_from_this<AppTcpConnection> {
   uint16_t peer_mss_ = 1460;
   uint32_t peer_window_ = 65535;
   uint32_t cwnd_ = 0;
-  std::deque<uint8_t> send_queue_;    // not yet transmitted
-  std::deque<uint8_t> unacked_;       // transmitted, awaiting ACK (front = snd_una_)
+  // A byte FIFO that holds no memory while empty (a std::deque keeps a
+  // 512-byte node and its map even then, and a finished connection object
+  // may be kept around long after its transfer). Consuming drops the
+  // consumed prefix once it is half the buffer, so it stays amortized O(1).
+  class ByteFifo {
+   public:
+    bool empty() const { return head_ == bytes_.size(); }
+    size_t size() const { return bytes_.size() - head_; }
+    std::vector<uint8_t>::const_iterator begin() const {
+      return bytes_.begin() + static_cast<std::ptrdiff_t>(head_);
+    }
+    void Append(std::span<const uint8_t> data);
+    void Consume(size_t n);
+
+   private:
+    std::vector<uint8_t> bytes_;
+    size_t head_ = 0;
+  };
+
+  ByteFifo send_queue_;  // not yet transmitted
+  ByteFifo unacked_;     // transmitted, awaiting ACK (front = snd_una_)
   bool fin_pending_ = false;
   bool fin_sent_ = false;
 

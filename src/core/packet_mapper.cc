@@ -1,8 +1,19 @@
 #include "core/packet_mapper.h"
 
+#include <algorithm>
+#include <tuple>
+
 #include "util/logging.h"
 
 namespace mopeye {
+
+namespace {
+// A snapshot row's sort key, (local port, remote).
+template <typename Row>
+auto SortKey(const Row& r) {
+  return std::tie(r.local_port, r.remote);
+}
+}  // namespace
 
 PacketToAppMapper::PacketToAppMapper(mopdroid::AndroidDevice* device, const Config* config)
     : device_(device), config_(config) {
@@ -12,9 +23,12 @@ PacketToAppMapper::PacketToAppMapper(mopdroid::AndroidDevice* device, const Conf
 
 PacketToAppMapper::Outcome PacketToAppMapper::Lookup(const moppkt::FlowKey& flow) const {
   Outcome out;
-  auto it = snapshot_.by_flow.find({flow.local.port, flow.remote});
-  if (it != snapshot_.by_flow.end()) {
-    out.uid = it->second;
+  const auto& rows = snapshot_.by_flow;
+  auto key = std::tie(flow.local.port, flow.remote);
+  auto it = std::lower_bound(rows.begin(), rows.end(), key,
+                             [](const FlowUid& r, const auto& k) { return SortKey(r) < k; });
+  if (it != rows.end() && SortKey(*it) == key) {
+    out.uid = it->uid;
     auto info = device_->package_manager().GetPackageForUid(out.uid);
     if (info) {
       out.label = info->label;
@@ -92,19 +106,29 @@ void PacketToAppMapper::RunParse(const moppkt::FlowKey& flow, mopsim::ActorLane*
                          cost]() {
     // The actual parse: render the pseudo-files and run the real text parser
     // over them, exactly as the engine would on-device.
-    Snapshot snap;
+    std::vector<FlowUid>& rows = snapshot_.by_flow;
+    rows.clear();
     for (moppkt::IpProto proto : {moppkt::IpProto::kTcp, moppkt::IpProto::kUdp}) {
-      std::string text = device_->proc_net().Render(proto);
-      auto entries = mopdroid::ParseProcNet(text);
+      auto entries = mopdroid::ParseProcNet(device_->proc_net().Render(proto));
       if (!entries.ok()) {
         continue;
       }
       for (const auto& e : entries.value()) {
-        snap.by_flow[{e.local.port, e.remote}] = e.uid;
+        rows.push_back(FlowUid{e.local.port, e.remote, e.uid});
       }
     }
-    snap.taken_at = device_->loop()->Now();
-    snapshot_ = std::move(snap);
+    // One row per key, the last parsed winning (a udp row overrides a tcp row
+    // with the same key): reversed, a stable sort puts each key's winner first.
+    std::reverse(rows.begin(), rows.end());
+    std::stable_sort(rows.begin(), rows.end(), [](const FlowUid& a, const FlowUid& b) {
+      return SortKey(a) < SortKey(b);
+    });
+    rows.erase(std::unique(rows.begin(), rows.end(),
+                           [](const FlowUid& a, const FlowUid& b) {
+                             return SortKey(a) == SortKey(b);
+                           }),
+               rows.end());
+    snapshot_.taken_at = device_->loop()->Now();
     parse_in_progress_ = false;
 
     Outcome out = Lookup(flow);

@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "android/device.h"
 #include "core/config.h"
@@ -66,9 +67,15 @@ class PacketToAppMapper {
   int misattributions() const { return misattributions_; }
 
  private:
+  struct FlowUid {
+    uint16_t local_port = 0;
+    moppkt::SocketAddr remote;
+    int uid = -1;
+  };
   struct Snapshot {
-    // (local port, remote) -> uid, from the last full parse.
-    std::map<std::pair<uint16_t, moppkt::SocketAddr>, int> by_flow;
+    // (local port, remote) -> uid from the last full parse, sorted by key
+    // with one row per key, for binary search.
+    std::vector<FlowUid> by_flow;
     moputil::SimTime taken_at = -1;
   };
 

@@ -6,6 +6,7 @@ ConnHandle KernelConnTable::Register(ConnEntry entry) {
   entry.inode = next_inode_++;
   ConnHandle h = next_handle_++;
   entries_[h] = entry;
+  ++counts_[entry.proto];
   return h;
 }
 
@@ -16,7 +17,13 @@ void KernelConnTable::UpdateState(ConnHandle h, ConnState state) {
   }
 }
 
-void KernelConnTable::Unregister(ConnHandle h) { entries_.erase(h); }
+void KernelConnTable::Unregister(ConnHandle h) {
+  auto it = entries_.find(h);
+  if (it != entries_.end()) {
+    --counts_[it->second.proto];
+    entries_.erase(it);
+  }
+}
 
 int KernelConnTable::LookupUid(moppkt::IpProto proto, uint16_t local_port,
                                const moppkt::SocketAddr& remote) const {
@@ -33,14 +40,9 @@ int KernelConnTable::LookupUid(moppkt::IpProto proto, uint16_t local_port,
   return port_only_match;
 }
 
-std::vector<ConnEntry> KernelConnTable::Snapshot(moppkt::IpProto proto) const {
-  std::vector<ConnEntry> out;
-  for (const auto& [h, e] : entries_) {
-    if (e.proto == proto) {
-      out.push_back(e);
-    }
-  }
-  return out;
+size_t KernelConnTable::Count(moppkt::IpProto proto) const {
+  auto it = counts_.find(proto);
+  return it == counts_.end() ? 0 : it->second;
 }
 
 }  // namespace mopnet

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "netpkt/ip.h"
 #include "netpkt/packet.h"
@@ -45,6 +44,9 @@ using ConnHandle = uint64_t;
 
 class KernelConnTable {
  public:
+  // Inodes are handed out sequentially from `first_inode`.
+  explicit KernelConnTable(uint64_t first_inode = 10000) : next_inode_(first_inode) {}
+
   // Registers a socket; the entry is visible to snapshots immediately (the
   // kernel writes the row at connect() time, before the SYN leaves).
   ConnHandle Register(ConnEntry entry);
@@ -57,13 +59,25 @@ class KernelConnTable {
   int LookupUid(moppkt::IpProto proto, uint16_t local_port,
                 const moppkt::SocketAddr& remote) const;
 
-  std::vector<ConnEntry> Snapshot(moppkt::IpProto proto) const;
+  // Visits the entries of `proto` in registration order, in place.
+  template <typename Fn>
+  void ForEach(moppkt::IpProto proto, Fn&& fn) const {
+    for (const auto& [h, e] : entries_) {
+      if (e.proto == proto) {
+        fn(e);
+      }
+    }
+  }
+  // Rows of `proto`, in O(1): a lazy-mapping parse prices itself by it.
+  size_t Count(moppkt::IpProto proto) const;
   size_t size() const { return entries_.size(); }
 
  private:
   std::map<ConnHandle, ConnEntry> entries_;
+  // Entries per protocol, kept in step with entries_.
+  std::map<moppkt::IpProto, size_t> counts_;
   ConnHandle next_handle_ = 1;
-  uint64_t next_inode_ = 10000;
+  uint64_t next_inode_;
 };
 
 }  // namespace mopnet

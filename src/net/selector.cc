@@ -9,50 +9,32 @@ namespace mopnet {
 
 Selector::Selector(mopsim::EventLoop* loop) : loop_(loop) { MOP_CHECK(loop != nullptr); }
 
-void Selector::AddChannel(std::shared_ptr<SocketChannel> ch) {
-  channels_.push_back(ch);
-  // Opportunistically compact dead entries.
-  if (channels_.size() % 64 == 0) {
-    channels_.erase(std::remove_if(channels_.begin(), channels_.end(),
-                                   [](const std::weak_ptr<SocketChannel>& w) {
-                                     return w.expired();
-                                   }),
-                    channels_.end());
-  }
+namespace {
+// Whether `event` is `ch`'s, by control block: no reference-count atomics, and
+// exact even for an event whose channel died (the weak ref pins the block).
+bool IsChannelEvent(const PendingEvent& event, const std::weak_ptr<SocketChannel>& ch) {
+  return !event.wakeup && !event.channel.owner_before(ch) && !ch.owner_before(event.channel);
 }
+}  // namespace
 
 void Selector::RemoveChannel(SocketChannel* ch) {
-  channels_.erase(std::remove_if(channels_.begin(), channels_.end(),
-                                 [ch](const std::weak_ptr<SocketChannel>& w) {
-                                   auto s = w.lock();
-                                   return !s || s.get() == ch;
-                                 }),
-                  channels_.end());
   // Cancelled-key semantics (java.nio): a deregistered channel must not
   // deliver events that were queued before the deregister.
+  std::weak_ptr<SocketChannel> key = ch->weak_from_this();
   ready_.erase(std::remove_if(ready_.begin(), ready_.end(),
-                              [ch](const PendingEvent& p) {
-                                if (p.wakeup) {
-                                  return false;
-                                }
-                                auto s = p.channel.lock();
-                                return !s || s.get() == ch;
+                              [&key](const PendingEvent& p) {
+                                return IsChannelEvent(p, key) ||
+                                       (!p.wakeup && p.channel.expired());
                               }),
                ready_.end());
 }
 
 std::vector<PendingEvent> Selector::ExtractPending(SocketChannel* ch) {
-  channels_.erase(std::remove_if(channels_.begin(), channels_.end(),
-                                 [ch](const std::weak_ptr<SocketChannel>& w) {
-                                   auto s = w.lock();
-                                   return !s || s.get() == ch;
-                                 }),
-                  channels_.end());
+  std::weak_ptr<SocketChannel> key = ch->weak_from_this();
   std::vector<PendingEvent> extracted;
   auto keep = ready_.begin();
   for (auto it = ready_.begin(); it != ready_.end(); ++it) {
-    auto s = it->wakeup ? nullptr : it->channel.lock();
-    if (s != nullptr && s.get() == ch) {
+    if (IsChannelEvent(*it, key)) {
       extracted.push_back(std::move(*it));
     } else {
       if (keep != it) {

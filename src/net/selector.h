@@ -46,7 +46,10 @@ class Selector {
   // drained do not retrigger, matching select()-loop batching.
   std::function<void()> on_wakeup;
 
-  void AddChannel(std::shared_ptr<SocketChannel> ch);
+  // Deregisters `ch` (java.nio key cancel): drops its queued events, and
+  // those of channels that already died. Costs one pass over the ready queue,
+  // whatever the number of registered channels: the selector keeps no channel
+  // registry, since every queued event names its channel.
   void RemoveChannel(SocketChannel* ch);
 
   // Removes `ch` like RemoveChannel, but returns its queued events (in
@@ -70,7 +73,6 @@ class Selector {
   std::vector<ReadyEvent> TakeReady();
 
   size_t pending() const { return ready_.size(); }
-  size_t registered_channels() const { return channels_.size(); }
   // Total wakeups delivered (CPU accounting).
   uint64_t wakeups() const { return wakeups_; }
 
@@ -79,7 +81,6 @@ class Selector {
 
   mopsim::EventLoop* loop_;
   std::deque<PendingEvent> ready_;
-  std::vector<std::weak_ptr<SocketChannel>> channels_;
   bool wake_scheduled_ = false;
   uint64_t wakeups_ = 0;
 };

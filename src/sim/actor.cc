@@ -7,34 +7,12 @@
 
 namespace mopsim {
 
-ActorLane::ActorLane(EventLoop* loop, std::string name)
-    : loop_(loop),
-      name_(std::move(name)),
-      log_token_(std::make_shared<const std::string>(name_)) {
+ActorLane::ActorLane(EventLoop* loop, std::string_view name) : loop_(loop) {
   MOP_CHECK(loop != nullptr);
+  name_ = &loop->InternLaneName(name);
 }
 
-namespace {
-// Sets the thread-local log lane token for the duration of one task, so log
-// lines (and flight-recorder dumps triggered by MOP_CHECK) name the lane
-// they ran on. Restores the previous token: a lane task that synchronously
-// drives another actor's callback nests correctly.
-class ScopedLaneToken {
- public:
-  explicit ScopedLaneToken(const char* token) : prev_(moputil::GetLogLaneToken()) {
-    moputil::SetLogLaneToken(token);
-  }
-  ~ScopedLaneToken() { moputil::SetLogLaneToken(prev_); }
-  ScopedLaneToken(const ScopedLaneToken&) = delete;
-  ScopedLaneToken& operator=(const ScopedLaneToken&) = delete;
-
- private:
-  const char* prev_;
-};
-}  // namespace
-
-void ActorLane::Submit(SimDuration wake_latency, SimDuration service,
-                       std::function<void(SimTime, SimTime)> fn) {
+std::pair<SimTime, SimTime> ActorLane::Book(SimDuration wake_latency, SimDuration service) {
   MOP_CHECK_GE(wake_latency, 0);
   MOP_CHECK_GE(service, 0);
   SimTime start = std::max(loop_->Now() + wake_latency, free_at_);
@@ -42,16 +20,18 @@ void ActorLane::Submit(SimDuration wake_latency, SimDuration service,
   free_at_ = end;
   busy_time_ += service;
   ++tasks_run_;
-  loop_->ScheduleAt(end, [fn = std::move(fn), token = log_token_, start, end] {
-    ScopedLaneToken lane_token(token->c_str());
-    fn(start, end);
-  });
+  return {start, end};
+}
+
+void ActorLane::Submit(SimDuration wake_latency, SimDuration service,
+                       std::function<void(SimTime, SimTime)> fn) {
+  auto [start, end] = Book(wake_latency, service);
+  loop_->ScheduleOnLane(end, *name_, [fn = std::move(fn), start, end] { fn(start, end); });
 }
 
 void ActorLane::Submit(SimDuration wake_latency, SimDuration service,
                        std::function<void()> fn) {
-  Submit(wake_latency, service,
-         [fn = std::move(fn)](SimTime, SimTime) { fn(); });
+  loop_->ScheduleOnLane(Book(wake_latency, service).second, *name_, std::move(fn));
 }
 
 }  // namespace mopsim

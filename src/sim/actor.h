@@ -11,8 +11,9 @@
 #define MOPEYE_SIM_ACTOR_H_
 
 #include <functional>
-#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "sim/event_loop.h"
 #include "util/time.h"
@@ -21,8 +22,9 @@ namespace mopsim {
 
 class ActorLane {
  public:
-  // `name` is for diagnostics only.
-  ActorLane(EventLoop* loop, std::string name);
+  // `name` is for diagnostics only (the log lane token of its tasks); the
+  // loop keeps one copy per distinct name.
+  ActorLane(EventLoop* loop, std::string_view name);
 
   // Submits a task:
   //   start = max(now + wake_latency, lane free time)
@@ -39,15 +41,17 @@ class ActorLane {
   SimDuration busy_time() const { return busy_time_; }
   SimTime free_at() const { return free_at_; }
   bool IsBusyAt(SimTime t) const { return t < free_at_; }
-  const std::string& name() const { return name_; }
+  const std::string& name() const { return *name_; }
   size_t tasks_run() const { return tasks_run_; }
 
  private:
+  // Books the lane for a task and returns its {start, end}.
+  std::pair<SimTime, SimTime> Book(SimDuration wake_latency, SimDuration service);
+
   EventLoop* loop_;
-  std::string name_;
-  // The lane name, shared into scheduled closures so the log-prefix lane
-  // token stays valid even if a task outlives its (retired) lane.
-  std::shared_ptr<const std::string> log_token_;
+  // Interned in the loop, so the token stays valid even if a task outlives
+  // its (retired) lane.
+  const std::string* name_;
   SimTime free_at_ = 0;
   SimDuration busy_time_ = 0;
   size_t tasks_run_ = 0;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,6 +17,8 @@
 #include "netpkt/packet.h"
 #include "netpkt/tcp.h"
 #include "sim/event_loop.h"
+#include "util/rng.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -296,6 +302,231 @@ TEST(ProcNet, KernelHexFormat) {
 TEST(ProcNet, ParseRejectsGarbage) {
   auto r = mopdroid::ParseProcNet("header\nthis is not a row\n");
   EXPECT_FALSE(r.ok());
+}
+
+// ---- Reference oracle: the snprintf/istringstream ProcNet ----
+//
+// The formatted-IO implementation of Render and ParseProcNet, kept as the
+// specification the allocation-free code must match byte for byte (render)
+// and entry for entry, error for error (parse).
+
+std::string OracleAddrHex(const moppkt::SocketAddr& a) {
+  uint32_t v = a.ip.value();
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%02X%02X%02X%02X:%04X", v & 0xff, (v >> 8) & 0xff,
+                (v >> 16) & 0xff, (v >> 24) & 0xff, a.port);
+  return buf;
+}
+
+std::string OracleRender(const mopnet::KernelConnTable& table, moppkt::IpProto proto) {
+  std::ostringstream os;
+  os << "  sl  local_address rem_address   st tx_queue rx_queue tr tm->when retrnsmt"
+        "   uid  timeout inode\n";
+  int sl = 0;
+  table.ForEach(proto, [&](const mopnet::ConnEntry& e) {
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "%4d: %s %s %02X %08X:%08X %02X:%08lX %08X %5d %8d %lu\n", sl++,
+                  OracleAddrHex(e.local).c_str(), OracleAddrHex(e.remote).c_str(),
+                  static_cast<unsigned>(e.state), 0u, 0u, 0u, 0ul, 0u, e.uid, 0,
+                  static_cast<unsigned long>(e.inode));
+    os << line;
+  });
+  return os.str();
+}
+
+bool OracleParseAddrHex(const std::string& s, moppkt::SocketAddr* out) {
+  auto colon = s.find(':');
+  if (colon == std::string::npos || colon != 8 || s.size() < 13) {
+    return false;
+  }
+  uint64_t ip_le = 0;
+  uint64_t port = 0;
+  if (!moputil::ParseHexU64(s.substr(0, 8), &ip_le) ||
+      !moputil::ParseHexU64(s.substr(9, 4), &port)) {
+    return false;
+  }
+  uint32_t le = static_cast<uint32_t>(ip_le);
+  uint32_t host = ((le & 0xff) << 24) | ((le & 0xff00) << 8) | ((le >> 8) & 0xff00) |
+                  ((le >> 24) & 0xff);
+  out->ip = moppkt::IpAddr(host);
+  out->port = static_cast<uint16_t>(port);
+  return true;
+}
+
+moputil::Result<std::vector<mopdroid::ProcNetEntry>> OracleParse(const std::string& text) {
+  std::vector<mopdroid::ProcNetEntry> entries;
+  std::istringstream is(text);
+  std::string line;
+  bool first = true;
+  while (std::getline(is, line)) {
+    if (first) {
+      first = false;
+      continue;
+    }
+    auto trimmed = moputil::Trim(line);
+    if (trimmed.empty()) {
+      continue;
+    }
+    std::istringstream ls{std::string(trimmed)};
+    std::string sl, local, remote, st, queues, timer, retrnsmt, uid_s;
+    if (!(ls >> sl >> local >> remote >> st >> queues >> timer >> retrnsmt >> uid_s)) {
+      return moputil::InvalidArgument("bad /proc/net row: " + line);
+    }
+    mopdroid::ProcNetEntry e;
+    if (!OracleParseAddrHex(local, &e.local) || !OracleParseAddrHex(remote, &e.remote)) {
+      return moputil::InvalidArgument("bad /proc/net address: " + line);
+    }
+    uint64_t st_v = 0;
+    if (!moputil::ParseHexU64(st, &st_v)) {
+      return moputil::InvalidArgument("bad /proc/net state: " + line);
+    }
+    e.state = static_cast<mopnet::ConnState>(st_v);
+    e.uid = std::atoi(uid_s.c_str());
+    entries.push_back(e);
+  }
+  return entries;
+}
+
+// Parses `text` with both parsers and expects the same verdict and entries.
+void ExpectParsersAgree(const std::string& text) {
+  auto want = OracleParse(text);
+  auto got = mopdroid::ParseProcNet(text);
+  ASSERT_EQ(got.ok(), want.ok()) << text;
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+    return;
+  }
+  ASSERT_EQ(got.value().size(), want.value().size()) << text;
+  for (size_t i = 0; i < want.value().size(); ++i) {
+    const auto& g = got.value()[i];
+    const auto& w = want.value()[i];
+    EXPECT_EQ(g.local, w.local) << "row " << i;
+    EXPECT_EQ(g.remote, w.remote) << "row " << i;
+    EXPECT_EQ(g.state, w.state) << "row " << i;
+    EXPECT_EQ(g.uid, w.uid) << "row " << i;
+  }
+}
+
+moppkt::SocketAddr RandomAddr(moputil::Rng& rng) {
+  return {IpAddr(rng.NextU32()), static_cast<uint16_t>(rng.NextU32())};
+}
+
+// Re-spaces rendered text the way other kernels and hand edits do: runs of
+// spaces and tabs between fields, CRLF endings, blank and whitespace-only
+// lines. Field content is untouched.
+std::string Respace(const std::string& text, moputil::Rng& rng) {
+  std::string out;
+  for (char c : text) {
+    if (c == ' ') {
+      static const char* const kGaps[] = {" ", "  ", "\t", " \t ", "\v", "\f"};
+      out += kGaps[rng.UniformInt(0, 5)];
+    } else if (c == '\n') {
+      static const char* const kEnds[] = {"\n", "\r\n", "\n\n", "\n \t\n", "\n\r\n"};
+      out += kEnds[rng.UniformInt(0, 4)];
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+TEST(ProcNet, MatchesFormattedIoOracleOnRandomTables) {
+  moputil::Rng rng(20160516);
+  for (int t = 0; t < 200; ++t) {
+    // Every fourth table's inodes start past 2^32, wider than 8 digits.
+    uint64_t first_inode = t % 4 == 3 ? (uint64_t{1} << 32) + rng.NextU32() : rng.NextU32();
+    mopnet::KernelConnTable table(first_inode);
+    auto rows = rng.UniformInt(0, 700);
+    for (int64_t i = 0; i < rows; ++i) {
+      mopnet::ConnEntry e;
+      e.proto = rng.Bernoulli(0.7) ? moppkt::IpProto::kTcp : moppkt::IpProto::kUdp;
+      e.local = RandomAddr(rng);
+      e.remote = RandomAddr(rng);
+      e.state = static_cast<mopnet::ConnState>(rng.UniformInt(0, 255));
+      switch (rng.UniformInt(0, 3)) {
+        case 0: e.uid = static_cast<int>(rng.UniformInt(0, 9)); break;
+        case 1: e.uid = static_cast<int>(rng.UniformInt(10000, 99999)); break;
+        case 2: e.uid = static_cast<int>(rng.UniformInt(-99999, -1)); break;
+        default: e.uid = static_cast<int>(rng.NextU32()); break;  // any int
+      }
+      table.Register(e);
+    }
+    mopdroid::ProcNet proc(&table);
+    for (moppkt::IpProto proto : {moppkt::IpProto::kTcp, moppkt::IpProto::kUdp}) {
+      std::string text = proc.Render(proto);
+      ASSERT_EQ(text, OracleRender(table, proto)) << "table " << t;
+      ExpectParsersAgree(text);
+      ExpectParsersAgree(Respace(text, rng));
+    }
+  }
+}
+
+TEST(ProcNet, RenderMatchesOracleAtFieldExtremes) {
+  mopnet::KernelConnTable table(uint64_t{1} << 40);
+  mopnet::ConnEntry e;
+  e.proto = moppkt::IpProto::kTcp;
+  e.local = {IpAddr(255, 255, 255, 255), 65535};
+  e.remote = {IpAddr(0, 0, 0, 0), 0};
+  e.state = mopnet::ConnState::kClosing;
+  for (int uid : {-1, -2147483647 - 1, 2147483647, 0, 99999, 100000}) {
+    e.uid = uid;
+    table.Register(e);
+  }
+  mopdroid::ProcNet proc(&table);
+  std::string text = proc.Render(moppkt::IpProto::kTcp);
+  EXPECT_EQ(text, OracleRender(table, moppkt::IpProto::kTcp));
+  EXPECT_NE(text.find("   -1 "), std::string::npos);
+  EXPECT_NE(text.find(" 1099511627776\n"), std::string::npos);  // 2^40
+  auto rows = mopdroid::ParseProcNet(text);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows.value().size(), 6u);
+  EXPECT_EQ(rows.value()[0].uid, -1);
+  EXPECT_EQ(rows.value()[1].uid, -2147483647 - 1);
+}
+
+TEST(ProcNet, ParseMatchesOracleOnHandWrittenRows) {
+  const std::string kHeader = "  sl  local_address rem_address   st ...\n";
+  const std::string kRow =
+      "   0: 0200000A:9C41 38220C5D:01BB 01 00000000:00000000 00:00000000 00000000 ";
+  const std::string kTabs = "\t0:\t0200000A:9C41\t38220C5D:01BB\t01\t0:0\t0:0\t0\t10077\n";
+  for (const std::string& body : {
+           kRow + "10077        0 10000\n",       // plain
+           kRow + "-1        0 10000\n",          // negative uid
+           kRow + "+10077        0 10000\n",      // "+uid" token
+           kRow + "12ab        0 10000\n",        // atoi stops at 'a'
+           kRow + "x        0 10000\n",           // atoi garbage is 0
+           kRow + "99999999999999999999 0 1\n",   // atoi overflow
+           kRow + "-99999999999999999999 0 1\n",  // atoi underflow
+           kRow + "10077        0 4294967296\n",  // inode >= 2^32
+           kRow + "10077",                        // no trailing newline
+           kTabs,                                 // tab-separated
+           "\n   \t \n" + kRow + "7 0 1\n\r\n",   // blank and whitespace-only lines
+           kRow + "7 0 1\n" + kRow + "8 0 2\n",   // two rows
+           std::string(),                         // header only
+       }) {
+    ExpectParsersAgree(kHeader + body);
+  }
+  // The first line is the header, whatever it holds.
+  ExpectParsersAgree(kRow + "1 0 1\n");
+}
+
+TEST(ProcNet, ParseRejectsRowsWithFewerThanEightFields) {
+  const std::string kHeader = "header\n";
+  std::string row = "0: 0200000A:9C41 38220C5D:01BB 01 00000000:00000000 00:00000000 00000000";
+  auto r = mopdroid::ParseProcNet(kHeader + row + "\n");  // seven fields
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), moputil::StatusCode::kInvalidArgument);
+  ExpectParsersAgree(kHeader + row + "\n");
+  for (size_t cut = row.find(' '); cut != std::string::npos; cut = row.find(' ', cut + 1)) {
+    ExpectParsersAgree(kHeader + row.substr(0, cut) + "\n");
+    EXPECT_FALSE(mopdroid::ParseProcNet(kHeader + row.substr(0, cut)).ok());
+  }
+  ExpectParsersAgree(kHeader + row + " 10077\n");  // eight: accepted
+  EXPECT_TRUE(mopdroid::ParseProcNet(kHeader + row + " 10077\n").ok());
+  // Bad address and state fields are rejected the same way.
+  ExpectParsersAgree(kHeader + "0: 0200000A9C41 38220C5D:01BB 01 0 0 0 7\n");
+  ExpectParsersAgree(kHeader + "0: 0200000A:9C41 38220C5D:01BB zz 0 0 0 7\n");
 }
 
 TEST(ProcNet, ParseCostGrowsWithRows) {

@@ -345,6 +345,30 @@ TEST(ConnTable, RegisterLookupUnregister) {
   EXPECT_EQ(table.LookupUid(moppkt::IpProto::kTcp, 40000, e.remote), -1);
 }
 
+TEST(ConnTable, CountTracksRegistrationsPerProtocol) {
+  mopnet::KernelConnTable table;
+  mopnet::ConnEntry e;
+  std::vector<mopnet::ConnHandle> tcp;
+  for (uint16_t port = 40000; port < 40005; ++port) {
+    e.proto = moppkt::IpProto::kTcp;
+    e.local.port = port;
+    tcp.push_back(table.Register(e));
+  }
+  e.proto = moppkt::IpProto::kUdp;
+  auto udp = table.Register(e);
+  EXPECT_EQ(table.Count(moppkt::IpProto::kTcp), 5u);
+  EXPECT_EQ(table.Count(moppkt::IpProto::kUdp), 1u);
+  EXPECT_EQ(table.Count(moppkt::IpProto::kIcmp), 0u);
+  table.Unregister(tcp[2]);
+  table.Unregister(tcp[2]);  // already gone: no effect
+  table.Unregister(udp);
+  EXPECT_EQ(table.Count(moppkt::IpProto::kTcp), 4u);
+  EXPECT_EQ(table.Count(moppkt::IpProto::kUdp), 0u);
+  size_t visited = 0;
+  table.ForEach(moppkt::IpProto::kTcp, [&](const mopnet::ConnEntry&) { ++visited; });
+  EXPECT_EQ(visited, 4u);
+}
+
 TEST(Capture, HandshakeRttPairsSynWithSynAck) {
   mopnet::CaptureLog log;
   SocketAddr local{IpAddr(10, 0, 0, 2), 40000};

@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <memory>
+#include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/actor.h"
 #include "sim/event_loop.h"
+#include "util/logging.h"
+#include "util/rng.h"
 #include "util/time.h"
 
 namespace {
@@ -103,6 +112,154 @@ TEST(EventLoop, PastScheduleClampsToNow) {
   EXPECT_EQ(loop.Now(), Millis(5));
 }
 
+TEST(EventLoop, StaleIdAfterSlotReuseDoesNotCancelTheNewEvent) {
+  EventLoop loop;
+  auto first = loop.Schedule(Millis(1), [] {});
+  loop.Run();
+  bool ran = false;
+  auto second = loop.Schedule(Millis(1), [&] { ran = true; });
+  // The second event reuses the first one's slot under a new generation.
+  ASSERT_EQ(first & 0xffffffffu, second & 0xffffffffu);
+  EXPECT_NE(first, second);
+  EXPECT_NE(second, mopsim::kInvalidTimer);
+  EXPECT_FALSE(loop.Cancel(first));
+  EXPECT_EQ(loop.pending_events(), 1u);
+  loop.Run();
+  EXPECT_TRUE(ran);
+}
+
+TEST(EventLoop, CancelledSlotIsReusedOnlyAfterItsEntryPops) {
+  EventLoop loop;
+  std::vector<int> order;
+  auto cancelled = loop.Schedule(Millis(5), [&] { order.push_back(0); });
+  ASSERT_TRUE(loop.Cancel(cancelled));
+  auto live = loop.Schedule(Millis(1), [&] { order.push_back(1); });
+  EXPECT_NE(cancelled & 0xffffffffu, live & 0xffffffffu);
+  EXPECT_FALSE(loop.Cancel(cancelled));
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_FALSE(loop.Cancel(cancelled));
+  EXPECT_FALSE(loop.Cancel(live));
+}
+
+TEST(EventLoop, CancelFromOwnCallbackReturnsFalse) {
+  EventLoop loop;
+  mopsim::TimerId self = mopsim::kInvalidTimer;
+  bool cancel_result = true;
+  self = loop.Schedule(Millis(1), [&] { cancel_result = loop.Cancel(self); });
+  loop.Run();
+  EXPECT_FALSE(cancel_result);
+}
+
+TEST(EventLoop, UnknownIdsAreRejected) {
+  EventLoop loop;
+  EXPECT_FALSE(loop.Cancel(mopsim::kInvalidTimer));
+  EXPECT_FALSE(loop.Cancel(~uint64_t{0}));
+  auto id = loop.Schedule(Millis(1), [] {});
+  EXPECT_FALSE(loop.Cancel(id + (uint64_t{1} << 32)));  // right slot, wrong generation
+  EXPECT_TRUE(loop.Cancel(id));
+}
+
+TEST(EventLoop, PendingEventsCountsScheduledNotRunNotCancelled) {
+  EventLoop loop;
+  EXPECT_EQ(loop.pending_events(), 0u);
+  size_t seen_inside = 99;
+  auto a = loop.Schedule(Millis(1), [&] { seen_inside = loop.pending_events(); });
+  auto b = loop.Schedule(Millis(2), [] {});
+  loop.Schedule(Millis(3), [] {});
+  EXPECT_EQ(loop.pending_events(), 3u);
+  EXPECT_TRUE(loop.Cancel(b));
+  EXPECT_FALSE(loop.Cancel(b));
+  EXPECT_EQ(loop.pending_events(), 2u);
+  loop.RunUntil(Millis(1));
+  EXPECT_EQ(seen_inside, 1u);  // the running event is no longer pending
+  EXPECT_EQ(loop.pending_events(), 1u);
+  EXPECT_FALSE(loop.Cancel(a));
+  loop.Run();
+  EXPECT_EQ(loop.pending_events(), 0u);
+}
+
+TEST(EventLoop, CancelledCallableIsDestroyedWhenItsEntryPops) {
+  EventLoop loop;
+  auto token = std::make_shared<int>(7);
+  std::weak_ptr<int> weak = token;
+  auto id = loop.Schedule(Millis(5), [token] {});
+  token.reset();
+  ASSERT_TRUE(loop.Cancel(id));
+  EXPECT_FALSE(weak.expired());  // held until the loop reaches it
+  loop.RunUntil(Millis(4));
+  EXPECT_FALSE(weak.expired());
+  loop.RunUntil(Millis(5));
+  EXPECT_TRUE(weak.expired());
+}
+
+// Seeded schedule / cancel / run interleaving against a reference model: a
+// std::multimap keyed by (when, scheduling sequence), the documented order.
+TEST(EventLoop, StressMatchesOrderedMultimapModel) {
+  EventLoop loop;
+  moputil::Rng rng(1611);
+  using Key = std::pair<moputil::SimTime, uint64_t>;
+  std::multimap<Key, int> model;
+  std::unordered_map<mopsim::TimerId, Key> key_of;
+  std::vector<mopsim::TimerId> ids;
+  std::vector<int> ran, expected;
+  uint64_t seq = 0;
+  int next_tag = 1;
+
+  // Schedules on the loop and enters the model under the next sequence
+  // number. Every fifth event schedules a child from its callback (at its own
+  // instant when tag % 3 == 0), so the model also sees events that arrive
+  // mid-run.
+  std::function<void(moputil::SimTime, int)> schedule = [&](moputil::SimTime when, int tag) {
+    auto id = loop.ScheduleAt(when, [&, tag] {
+      ran.push_back(tag);
+      if (tag > 0 && tag % 5 == 0) {
+        schedule(loop.Now() + Millis(tag % 3), -tag);
+      }
+    });
+    Key key{std::max(when, loop.Now()), seq++};
+    model.emplace(key, tag);
+    key_of[id] = key;
+    ids.push_back(id);
+  };
+  auto drain_model_until = [&](moputil::SimTime deadline) {
+    while (!model.empty() && model.begin()->first.first <= deadline) {
+      expected.push_back(model.begin()->second);
+      model.erase(model.begin());
+    }
+  };
+
+  for (int op = 0; op < 12000; ++op) {
+    int64_t kind = rng.UniformInt(0, 9);
+    if (kind < 6) {
+      // Coarse times force many equal-timestamp ties; some lie in the past.
+      schedule(loop.Now() + Millis(rng.UniformInt(-2, 20)), next_tag++);
+    } else if (kind < 8 && !ids.empty()) {
+      auto id = ids[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1))];
+      bool in_model = false;
+      if (auto found = key_of.find(id); found != key_of.end()) {
+        if (auto it = model.find(found->second); it != model.end()) {
+          model.erase(it);
+          in_model = true;
+        }
+        key_of.erase(found);
+      }
+      ASSERT_EQ(loop.Cancel(id), in_model) << "op " << op;
+    } else {
+      moputil::SimTime deadline = loop.Now() + Millis(rng.UniformInt(0, 6));
+      loop.RunUntil(deadline);
+      drain_model_until(deadline);
+      ASSERT_EQ(ran, expected) << "op " << op;
+      ASSERT_EQ(loop.pending_events(), model.size()) << "op " << op;
+    }
+  }
+  loop.Run();
+  drain_model_until(INT64_MAX);
+  EXPECT_EQ(ran, expected);
+  EXPECT_EQ(loop.pending_events(), 0u);
+  EXPECT_GT(ran.size(), 5000u);
+}
+
 TEST(ActorLane, SerializesTasks) {
   EventLoop loop;
   ActorLane lane(&loop, "t");
@@ -156,6 +313,37 @@ TEST(ActorLane, QueueingBehindBusyLane) {
   loop.Run();
   EXPECT_EQ(start, Millis(10));
   EXPECT_EQ(lane.busy_time(), Millis(12));
+}
+
+TEST(ActorLane, LanesWithOneNameShareOneInternedCopy) {
+  EventLoop loop;
+  std::vector<std::unique_ptr<ActorLane>> lanes;
+  for (int i = 0; i < 10000; ++i) {
+    lanes.push_back(std::make_unique<ActorLane>(&loop, "sock-connect"));
+  }
+  EXPECT_EQ(loop.interned_lane_names(), 1u);
+  EXPECT_EQ(&lanes.front()->name(), &lanes.back()->name());
+  ActorLane main(&loop, "main-worker");
+  EXPECT_EQ(loop.interned_lane_names(), 2u);
+  EXPECT_EQ(main.name(), "main-worker");
+}
+
+TEST(ActorLane, TasksRunUnderTheLaneLogToken) {
+  EventLoop loop;
+  std::string seen_effect, seen_timed;
+  {
+    // The lane retires before its tasks run; the token stays valid.
+    ActorLane lane(&loop, "dns-worker");
+    lane.Submit(0, Millis(1), [&] { seen_effect = moputil::GetLogLaneToken(); });
+    lane.Submit(0, Millis(1), [&](moputil::SimTime, moputil::SimTime) {
+      seen_timed = moputil::GetLogLaneToken();
+    });
+  }
+  const char* outside = moputil::GetLogLaneToken();
+  loop.Run();
+  EXPECT_EQ(seen_effect, "dns-worker");
+  EXPECT_EQ(seen_timed, "dns-worker");
+  EXPECT_EQ(moputil::GetLogLaneToken(), outside);  // restored after each task
 }
 
 }  // namespace
